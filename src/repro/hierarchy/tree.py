@@ -20,6 +20,11 @@ class TopicalHierarchy:
         self.root = root if root is not None else Topic(path=())
         if self.root.path != ():
             raise DataError("hierarchy root must have the empty path")
+        #: The Eq. 4.3 topic-phrase table left by
+        #: :func:`repro.phrases.attach_phrases` (a
+        #: :class:`~repro.phrases.TopicPhraseTable`), reused by role
+        #: analysis; None until phrases are attached.
+        self.phrase_table: Optional[object] = None
 
     # ------------------------------------------------------------- traversal
     def topics(self) -> Iterator[Topic]:

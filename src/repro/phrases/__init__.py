@@ -2,15 +2,18 @@
 
 from .frequent import (Phrase, PhraseCounts, mine_frequent_phrases,
                        mine_frequent_phrases_from_chunks)
-from .hierarchy_ranking import (attach_entity_rankings, attach_phrases,
+from .hierarchy_ranking import (TopicPhraseTable, attach_entity_rankings,
+                                attach_phrases,
                                 compute_topic_phrase_frequencies,
-                                phrase_rank_score, split_frequencies)
+                                phrase_rank_score, split_frequencies,
+                                topic_phrase_table)
 from .itemsets import (canonical_orders, itemsets_as_phrase_counts,
                        mine_frequent_itemsets)
 from .kert import KERT, KERTConfig, TopicalPhraseScores, completeness_scores
 from .ranking import (FlatTopicModel, document_phrase_instances,
-                      phrase_topic_posterior, render_phrase,
-                      term_model_from_hin, topical_frequencies)
+                      phrase_instance_index, phrase_topic_posterior,
+                      render_phrase, term_model_from_hin,
+                      topical_frequencies)
 from .segmentation import (partition_is_valid, segment_chunk,
                            segment_corpus, segment_document)
 from .significance import (MergeScorer, make_merge_scorer,
@@ -37,6 +40,7 @@ __all__ = [
     "topical_frequencies",
     "phrase_topic_posterior",
     "document_phrase_instances",
+    "phrase_instance_index",
     "render_phrase",
     "segment_chunk",
     "segment_document",
@@ -51,4 +55,6 @@ __all__ = [
     "compute_topic_phrase_frequencies",
     "phrase_rank_score",
     "split_frequencies",
+    "TopicPhraseTable",
+    "topic_phrase_table",
 ]

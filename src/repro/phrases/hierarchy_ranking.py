@@ -8,11 +8,14 @@ ranked by pointwise KL popularity x purity against the parent (Eq. 4.9),
 after a completeness filter (Eq. 4.2).
 
 :func:`compute_topic_phrase_frequencies` exposes the per-topic frequency
-tables directly; entity role analysis (Chapter 5) builds on them.
+tables directly.  :func:`attach_phrases` leaves the table it built on
+the hierarchy (:class:`TopicPhraseTable`), and :func:`topic_phrase_table`
+hands it to entity role analysis (Chapter 5) instead of recomputing it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -27,6 +30,21 @@ from .kert import completeness_scores
 from .ranking import render_phrase
 
 TopicPhraseFrequencies = Dict[str, Dict[Phrase, float]]
+
+
+@dataclass(frozen=True)
+class TopicPhraseTable:
+    """An Eq. 4.3 table together with the inputs that produced it.
+
+    Stored on ``hierarchy.phrase_table`` by :func:`attach_phrases`, so a
+    later caller asking for the same table (same counts object, corpus
+    and options) reuses it instead of recomputing it.
+    """
+
+    frequencies: TopicPhraseFrequencies
+    counts: PhraseCounts
+    corpus: Corpus
+    options: Tuple[float, float, Optional[int]]
 
 
 def compute_topic_phrase_frequencies(hierarchy: TopicalHierarchy,
@@ -68,6 +86,32 @@ def compute_topic_phrase_frequencies(hierarchy: TopicalHierarchy,
 
     descend(hierarchy.root, root_freq)
     return table, counts
+
+
+def topic_phrase_table(hierarchy: TopicalHierarchy, corpus: Corpus,
+                       counts: Optional[PhraseCounts] = None,
+                       min_support: int = 5, max_phrase_length: int = 6,
+                       min_topical_frequency: float = 2.0,
+                       gamma: float = 0.5,
+                       max_phrase_tokens: Optional[int] = None,
+                       ) -> Tuple[TopicPhraseFrequencies, PhraseCounts]:
+    """:func:`compute_topic_phrase_frequencies`, reusing the hierarchy's.
+
+    When :func:`attach_phrases` built ``hierarchy.phrase_table`` from
+    this very ``counts`` object and corpus with the same options, that
+    table is returned; otherwise it is computed.
+    """
+    cached = hierarchy.phrase_table
+    if (isinstance(cached, TopicPhraseTable) and counts is not None
+            and cached.counts is counts and cached.corpus is corpus
+            and cached.options == (min_topical_frequency, gamma,
+                                   max_phrase_tokens)):
+        return cached.frequencies, counts
+    return compute_topic_phrase_frequencies(
+        hierarchy, corpus, counts=counts, min_support=min_support,
+        max_phrase_length=max_phrase_length,
+        min_topical_frequency=min_topical_frequency, gamma=gamma,
+        max_phrase_tokens=max_phrase_tokens)
 
 
 def split_frequencies(topic: Topic, freq: Dict[Phrase, float],
@@ -124,7 +168,8 @@ def attach_phrases(hierarchy: TopicalHierarchy,
             unigram-only CATHY1/CATHYHIN1 variants of Table 3.5).
 
     Returns:
-        The phrase counts used (for reuse by role analysis).
+        The phrase counts used (for reuse by role analysis, which also
+        reuses the Eq. 4.3 table left on ``hierarchy.phrase_table``).
     """
     with timed("phrases.topical_frequency"):
         table, counts = compute_topic_phrase_frequencies(
@@ -132,6 +177,9 @@ def attach_phrases(hierarchy: TopicalHierarchy,
             max_phrase_length=max_phrase_length,
             min_topical_frequency=min_topical_frequency, gamma=gamma,
             max_phrase_tokens=max_phrase_tokens)
+    hierarchy.phrase_table = TopicPhraseTable(
+        table, counts, corpus,
+        (min_topical_frequency, gamma, max_phrase_tokens))
 
     with timed("phrases.ranking"):
         _rank_topics(hierarchy, corpus, table, top_k)

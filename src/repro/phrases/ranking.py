@@ -92,6 +92,32 @@ def topical_frequencies(counts: PhraseCounts,
     return result
 
 
+def phrase_instance_index(corpus: Corpus, counts: PhraseCounts,
+                          max_length: int = 6,
+                          ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per document, all frequent-phrase instances as a CSR pair.
+
+    Returns ``(offsets, ids)``: document ``d``'s instances are
+    ``ids[offsets[d]:offsets[d + 1]]``, where id ``i`` is the ``i``-th
+    phrase of ``counts.counts``.  Instances come in text order (chunk,
+    start, then length) and may overlap.
+    """
+    phrase_ids = {p: i for i, p in enumerate(counts.counts)}
+    offsets = [0]
+    found: List[int] = []
+    for doc in corpus:
+        for chunk in doc.chunks:
+            n = len(chunk)
+            for start in range(n):
+                for stop in range(start + 1, min(start + max_length, n) + 1):
+                    phrase_id = phrase_ids.get(tuple(chunk[start:stop]))
+                    if phrase_id is not None:
+                        found.append(phrase_id)
+        offsets.append(len(found))
+    return (np.asarray(offsets, dtype=np.int64),
+            np.asarray(found, dtype=np.int32))
+
+
 def document_phrase_instances(corpus: Corpus, counts: PhraseCounts,
                               max_length: int = 6,
                               ) -> List[List[Phrase]]:
@@ -100,18 +126,11 @@ def document_phrase_instances(corpus: Corpus, counts: PhraseCounts,
     Used to decide which documents "contain at least one frequent topic-t
     phrase" for the N_t normalizer of Eq. 4.4.
     """
-    instances: List[List[Phrase]] = []
-    for doc in corpus:
-        found: List[Phrase] = []
-        for chunk in doc.chunks:
-            n = len(chunk)
-            for start in range(n):
-                for stop in range(start + 1, min(start + max_length, n) + 1):
-                    phrase = tuple(chunk[start:stop])
-                    if phrase in counts:
-                        found.append(phrase)
-        instances.append(found)
-    return instances
+    offsets, ids = phrase_instance_index(corpus, counts, max_length)
+    phrases = list(counts.counts)
+    return [[phrases[i] for i in ids[start:stop].tolist()]
+            for start, stop in zip(offsets[:-1].tolist(),
+                                   offsets[1:].tolist())]
 
 
 def render_phrase(phrase: Iterable[int], vocabulary: Vocabulary) -> str:

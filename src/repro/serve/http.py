@@ -77,6 +77,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: headers and body go out as separate small writes,
+    #: and with Nagle on the second waits for the client's delayed ACK
+    #: (~40 ms per keep-alive request).
+    disable_nagle_algorithm = True
 
     #: Trace ID of the request being handled (echoed as X-Request-Id).
     _request_id: Optional[str] = None

@@ -17,7 +17,11 @@ Three families live here:
   ``Generator.choice``) for honest before/after benchmarking;
 * network bookkeeping (:class:`ReferenceDictNetwork`) and the
   rescanning ToPMine merge (:func:`reference_segment_chunk`) — the
-  pre-CSR / pre-heap data paths.
+  pre-CSR / pre-heap data paths;
+* entity-role attribution (Eq. 5.4–5.6): the per-document recursion,
+  the dict-accumulating entity tables and the per-document-dict Type A
+  phrase ranking that ``repro.roles`` shipped before its attribution
+  was vectorised.
 """
 
 from __future__ import annotations
@@ -231,3 +235,105 @@ def reference_segment_chunk(chunk: Sequence[int], counts,
         phrases[best_at:best_at + 2] = [phrases[best_at]
                                         + phrases[best_at + 1]]
     return phrases
+
+
+# --------------------------------------------------------------------- roles
+def reference_document_topic_frequencies(hierarchy, table,
+                                         doc_instances,
+                                         ) -> List[Dict[str, float]]:
+    """f_t(d) per document by the per-document recursion (Eq. 5.4–5.5).
+
+    ``table`` is the Eq. 4.3 topic-phrase table and ``doc_instances``
+    the per-document phrase instances
+    (:func:`repro.phrases.document_phrase_instances`).  A topic's key is
+    written on entry, so zero-share children get a ``0.0`` key but are
+    not descended into.
+    """
+    def descend(topic, doc_id: int, mass: float,
+                out: Dict[str, float]) -> None:
+        out[topic.notation] = mass
+        if not topic.children or mass <= 0:
+            return
+        phrases = doc_instances[doc_id]
+        if not phrases:
+            return
+        child_tables = [table.get(c.notation, {}) for c in topic.children]
+        tpf = np.zeros(len(topic.children))
+        for phrase in phrases:
+            shares = np.array([child.get(phrase, 0.0)
+                               for child in child_tables])
+            total = shares.sum()
+            if total > 0:
+                tpf += shares / total
+        tpf_total = tpf.sum()
+        if tpf_total <= 0:
+            return
+        for child, share in zip(topic.children, tpf / tpf_total):
+            descend(child, doc_id, mass * float(share), out)
+
+    result: List[Dict[str, float]] = []
+    for doc_id in range(len(doc_instances)):
+        freqs: Dict[str, float] = {}
+        descend(hierarchy.root, doc_id, 1.0, freqs)
+        result.append(freqs)
+    return result
+
+
+def reference_entity_topic_frequencies(corpus, doc_freqs,
+                                       entity_type: str,
+                                       ) -> Dict[str, Dict[str, float]]:
+    """f_t(E) per entity (Eq. 5.6): document frequencies summed per
+    mention, in corpus order."""
+    result: Dict[str, Dict[str, float]] = {}
+    for doc_id, doc in enumerate(corpus):
+        for name in doc.entity_list(entity_type):
+            bucket = result.setdefault(name, {})
+            for notation, f in doc_freqs[doc_id].items():
+                bucket[notation] = bucket.get(notation, 0.0) + f
+    return result
+
+
+def reference_entity_phrases(hierarchy, corpus, table, doc_freqs,
+                             doc_instances, topic: str, entity_type: str,
+                             names, alpha: float = 0.5,
+                             top_k: int = 10) -> List[Tuple[str, float]]:
+    """Entity-specific phrase ranking (Eq. 5.1–5.2) over per-document
+    dicts: f_t(P, E) summed per document in corpus order."""
+    from repro.phrases import phrase_rank_score, render_phrase
+
+    node = hierarchy.topic(topic)
+    freq = table.get(node.notation, {})
+    if not freq:
+        return []
+    total = max(sum(freq.values()), EPS)
+    parent = hierarchy.parent_of(node)
+    parent_freq = freq if parent is None else table.get(parent.notation, {})
+    parent_total = max(sum(parent_freq.values()), EPS)
+
+    name_set = set(names)
+    entity_doc_ids = [doc.doc_id for doc in corpus
+                      if name_set & set(doc.entity_list(entity_type))]
+    entity_phrase_freq: Dict[Tuple[int, ...], float] = {}
+    entity_total = 0.0
+    for doc_id in entity_doc_ids:
+        doc_mass = doc_freqs[doc_id].get(node.notation, 0.0)
+        if doc_mass <= 0:
+            continue
+        entity_total += doc_mass
+        for phrase in set(doc_instances[doc_id]):
+            if phrase in freq:
+                entity_phrase_freq[phrase] = \
+                    entity_phrase_freq.get(phrase, 0.0) + doc_mass
+    entity_total = max(entity_total, EPS)
+
+    scored = []
+    for phrase, f in freq.items():
+        p_t = f / total
+        quality = phrase_rank_score(f, total, parent_freq.get(phrase, 0.0),
+                                    parent_total)
+        p_te = entity_phrase_freq.get(phrase, 0.0) / entity_total
+        specific = p_t * float(np.log(max(p_te, EPS) / max(p_t, EPS)))
+        scored.append((phrase, alpha * specific + (1 - alpha) * quality))
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return [(render_phrase(p, corpus.vocabulary), s)
+            for p, s in scored[:top_k]]

@@ -14,9 +14,18 @@ import pytest
 
 from repro.baselines.lda_gibbs import ENV_REFERENCE_SWEEP, LDAGibbs
 from repro.cathy.em import endpoint_one_hot, link_incidence
-from repro.phrases import (make_merge_scorer, merge_significance,
+from repro.corpus import Corpus, Vocabulary
+from repro.hierarchy import Topic, TopicalHierarchy
+from repro.phrases import (PhraseCounts, TopicPhraseTable,
+                           compute_topic_phrase_frequencies,
+                           document_phrase_instances, make_merge_scorer,
+                           merge_significance,
                            mine_frequent_phrases_from_chunks, segment_chunk)
+from repro.roles import RoleAnalyzer
 from .reference_kernels import (legacy_gibbs_sweep,
+                                reference_document_topic_frequencies,
+                                reference_entity_phrases,
+                                reference_entity_topic_frequencies,
                                 reference_gibbs_conditional,
                                 reference_log_likelihood,
                                 reference_scatter, reference_segment_chunk)
@@ -201,3 +210,121 @@ class TestMergeScorerEquivalence:
                 via_function = merge_significance(counts, left, right)
                 assert via_scorer == via_function  # bit-identical
         scorer.flush()
+
+
+class TestRoleAttributionEquivalence:
+    """The vectorised Eq. 5.4–5.6 attribution against the per-document
+    recursion: identical key sets (and key order per document) and
+    bit-identical floats."""
+
+    @staticmethod
+    def _reference(roles, table):
+        instances = document_phrase_instances(roles.corpus, roles.counts)
+        docs = reference_document_topic_frequencies(
+            roles.hierarchy, table, instances)
+        return docs, instances
+
+    def _assert_equivalent(self, roles, table):
+        ref_docs, instances = self._reference(roles, table)
+        fast_docs = roles.document_topic_frequencies()
+        assert [list(d.items()) for d in fast_docs] == \
+            [list(d.items()) for d in ref_docs]
+        for etype in roles.corpus.entity_types():
+            ref = reference_entity_topic_frequencies(roles.corpus, ref_docs,
+                                                     etype)
+            fast = roles.entity_topic_frequencies(etype)
+            assert list(fast) == list(ref)  # first-appearance order
+            for name, bucket in ref.items():
+                assert fast[name] == bucket  # same keys, == on floats
+        return ref_docs, instances
+
+    def test_mined_fixture_matches_reference(self):
+        from repro.core import LatentEntityMiner, MinerConfig
+        from repro.datasets import DBLPConfig, generate_dblp
+        dataset = generate_dblp(DBLPConfig(max_authors=100), seed=3)
+        result = LatentEntityMiner(
+            MinerConfig(num_children=[6, 3], max_depth=2),
+            seed=0).fit(dataset.corpus)
+        roles = result.roles
+        table, _ = compute_topic_phrase_frequencies(
+            result.hierarchy, dataset.corpus, counts=roles.counts)
+        ref_docs, instances = self._assert_equivalent(roles, table)
+        for child in result.hierarchy.root.children[:3]:
+            for author, _ in child.entity_ranks["author"][:3]:
+                assert roles.entity_phrases(
+                    child.notation, "author", [author], top_k=20) == \
+                    reference_entity_phrases(
+                        result.hierarchy, dataset.corpus, table, ref_docs,
+                        instances, child.notation, "author", [author],
+                        top_k=20)
+
+    @staticmethod
+    def _random_case(rng, widths):
+        vocab = Vocabulary([f"w{i}" for i in range(12)])
+        corpus = Corpus(vocab)
+        names = [f"e{i}" for i in range(6)]
+        for d in range(40):
+            if d % 9 == 0:  # no phrase instance at all
+                chunks = [[11, 11]] if d % 2 else []
+            else:
+                chunks = [rng.integers(0, 11, size=rng.integers(1, 7))
+                          .tolist() for _ in range(rng.integers(1, 4))]
+            listed = rng.choice(names, size=rng.integers(0, 3)).tolist()
+            if d % 7 == 0 and listed:
+                listed.append(listed[0])  # one entity listed twice
+            corpus.add_document(chunks, entities={"person": listed})
+        phrases = {(i,): 5 for i in range(10)}
+        phrases.update({(i, i + 1): 3 for i in range(0, 10, 2)})
+        counts = PhraseCounts(phrases, min_support=2,
+                              num_documents=len(corpus),
+                              num_tokens=corpus.num_tokens)
+
+        root = Topic(path=())
+        hierarchy = TopicalHierarchy(root)
+        frontier = [root]
+        for width in widths:
+            frontier = [parent.add_child(Topic())
+                        for parent in frontier for _ in range(width)]
+        table = {}
+        for topic in hierarchy.topics():
+            if topic.path == ():
+                table["o"] = {p: float(c) for p, c in phrases.items()}
+                continue
+            if topic.path[-1] == 1:
+                table[topic.notation] = {}  # zero share for every phrase
+                continue
+            # Phrase (9,) is absent from every child table.
+            kept = [p for p in phrases
+                    if p != (9,) and rng.random() < 0.6]
+            table[topic.notation] = {
+                p: float(rng.random() * 10 + (rng.random() < 0.2))
+                for p in kept}
+        hierarchy.phrase_table = TopicPhraseTable(
+            table, counts, corpus, (2.0, 0.5, None))
+        return RoleAnalyzer(hierarchy, corpus, counts=counts), table
+
+    @pytest.mark.parametrize("widths", [[], [3], [9], [2, 3], [4, 2, 2],
+                                        [10, 2], [1, 3]])
+    def test_random_trees_match_reference(self, widths):
+        rng = np.random.default_rng(sum(widths) * 31 + len(widths))
+        roles, table = self._random_case(rng, widths)
+        assert roles._table is table  # the stored table was reused
+        ref_docs, instances = self._assert_equivalent(roles, table)
+        assert ref_docs[0] == {"o": 1.0}  # no phrase instance
+        # The always-empty child keeps a 0.0 key and is not entered.
+        zero_child = roles.hierarchy.root.children[1] \
+            if widths and widths[0] > 1 else None
+        if zero_child is not None:
+            entered = [d for d in ref_docs if len(d) > 1]
+            assert entered and all(d[zero_child.notation] == 0.0
+                                   for d in entered)
+            for grandchild in zero_child.children:
+                assert all(grandchild.notation not in d for d in ref_docs)
+        for topic in list(roles.hierarchy.topics())[1:4]:
+            for names in (["e0"], ["e1", "e2"], ["nobody"]):
+                assert roles.entity_phrases(
+                    topic.notation, "person", names, top_k=12) == \
+                    reference_entity_phrases(
+                        roles.hierarchy, roles.corpus, table, ref_docs,
+                        instances, topic.notation, "person", names,
+                        top_k=12)

@@ -16,6 +16,22 @@ def mined():
     return dataset, miner.fit(dataset.corpus)
 
 
+class TestFitPath:
+    def test_roles_reuse_the_decoration_table_and_start_lazy(self):
+        from repro.datasets import DBLPConfig, generate_dblp
+        dataset = generate_dblp(DBLPConfig(max_authors=40), seed=3)
+        result = LatentEntityMiner(
+            MinerConfig(num_children=[3], max_depth=1),
+            seed=0).fit(dataset.corpus)
+        # fit computes the Eq. 4.3 table once and builds no attribution.
+        assert result.roles._table is \
+            result.hierarchy.phrase_table.frequencies
+        assert result.roles._attribution is None
+        fresh = RoleAnalyzer(result.hierarchy, dataset.corpus)
+        assert fresh._table is not result.roles._table
+        assert fresh._table == result.roles._table
+
+
 class TestDocumentDistribution:
     def test_root_mass_is_one(self, mined):
         _, result = mined

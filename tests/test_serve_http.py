@@ -5,10 +5,13 @@ served over HTTP equals the answer computed directly from the in-memory
 ``MiningResult`` (property-tested over query parameters).
 """
 
+import http.client
 import json
 import os
 import signal
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -190,6 +193,27 @@ class TestMetrics:
         _get(server, "/healthz")
         snapshot = server.registry.snapshot()
         assert snapshot["counters"]["serve.http.requests"] >= 1
+
+
+class TestKeepAlive:
+    def test_sequential_requests_do_not_stall(self, server):
+        """Headers and body leave as two small writes; without
+        TCP_NODELAY the body waits on the client's delayed ACK, ~40 ms
+        per request on a reused connection."""
+        connection = http.client.HTTPConnection(server.host, server.port,
+                                                timeout=10)
+        latencies = []
+        try:
+            for _ in range(50):
+                start = time.perf_counter()
+                connection.request("GET", "/v1/topics/o/1")
+                response = connection.getresponse()
+                response.read()
+                latencies.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert statistics.median(latencies) < 0.020, latencies
 
 
 class TestLifecycle:
