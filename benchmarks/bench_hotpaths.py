@@ -2,7 +2,9 @@
 
 Times the two CATHY hot kernels — the Eq. 3.5 posterior link split and
 the Eq. 3.7 M-step scatter — against the original per-link / per-subtopic
-loop implementations kept in ``tests/reference_kernels.py``.
+loop implementations kept in ``tests/reference_kernels.py``, and likewise
+the Gibbs sweep, the network build, ToPMine segmentation and Algorithm 1
+frequent-phrase mining.
 
 Problem sizes are environment-tunable so CI can run a seconds-long smoke
 pass (``REPRO_BENCH_EDGES=2000``) while the default configuration
@@ -26,6 +28,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "tests"))
 
 from reference_kernels import (ReferenceDictNetwork, legacy_gibbs_sweep,
+                               reference_mine_chunks,
                                reference_posterior_link_split,
                                reference_scatter, reference_segment_chunk)
 
@@ -293,15 +296,20 @@ def test_hotpath_network_build(benchmark):
         assert speedup >= 5.0
 
 
-def test_hotpath_topmine_merge(benchmark):
-    """Lazy-invalidation heap segmentation vs the rescanning merge."""
+def _zipf_chunks():
+    """CHUNKS long chunks of Zipfian tokens (ToPMine bench input)."""
     rng = np.random.default_rng(4)
     # Zipfian tokens over long chunks: heavy repetition drives many
     # merges per chunk, which is exactly where the rescan's O(n^2)
     # behaviour separates from the heap's O(n log n).
-    chunks = [np.minimum(rng.zipf(1.2, size=rng.integers(60, 200)),
-                         60).tolist()
-              for _ in range(CHUNKS)]
+    return [np.minimum(rng.zipf(1.2, size=rng.integers(60, 200)),
+                       60).tolist()
+            for _ in range(CHUNKS)]
+
+
+def test_hotpath_topmine_merge(benchmark):
+    """Lazy-invalidation heap segmentation vs the rescanning merge."""
+    chunks = _zipf_chunks()
     counts = mine_frequent_phrases_from_chunks(
         chunks, min_support=3, max_length=6,
         num_tokens=sum(len(c) for c in chunks))
@@ -343,6 +351,49 @@ def test_hotpath_topmine_merge(benchmark):
     assert fast <= SANITY_SECONDS
     if CHUNKS >= FULL_CHUNKS:
         assert speedup >= 5.0
+
+
+def test_hotpath_frequent_mining(benchmark):
+    """Algorithm 1 as array passes vs the per-position loop.
+
+    Records the ratio only: at CI sizes the mining takes milliseconds,
+    so a speedup gate would measure noise.  Equality is checked in full,
+    dict order included.
+    """
+    chunks = _zipf_chunks()
+    min_support, max_length = 3, 6
+    obs.set_profiling_enabled(False)  # see test_hotpath_gibbs_sweep
+
+    def mine_fast():
+        return mine_frequent_phrases_from_chunks(
+            chunks, min_support=min_support, max_length=max_length).counts
+
+    def run():
+        fast = _time(mine_fast, span_name="bench.mining.arrays")
+        slow = _time(lambda: reference_mine_chunks(
+            chunks, min_support, max_length), repeats=1,
+            span_name="bench.mining.loop")
+        return fast, slow
+
+    fast, slow = benchmark.pedantic(run, rounds=1, iterations=1)
+    speedup = slow / max(fast, 1e-9)
+    counts = mine_fast()
+    report("hotpath_frequent_mining", [
+        fmt_row("mining kernel", ["seconds", "speedup"]),
+        fmt_row("array pass per length", [fast, 1.0]),
+        fmt_row("per-position loop", [slow, speedup]),
+        "",
+    ] + _profiled_rows({"bench.mining.arrays", "bench.mining.loop"}) + [
+        f"chunks={CHUNKS} tokens={sum(map(len, chunks))} "
+        f"phrases={len(counts)} min_support={min_support}",
+        "bench.mining.arrays self time excludes its child span "
+        "topmine.frequent_mining",
+        "ratio recorded, not gated",
+    ])
+
+    assert list(counts.items()) == list(reference_mine_chunks(
+        chunks, min_support, max_length).items())
+    assert fast <= SANITY_SECONDS
 
 
 def test_no_kernel_fallbacks_recorded():

@@ -523,10 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
                               report=None, trace=None, profile=None,
                               log_level=None, log_json=False)
 
-    lint = sub.add_parser(
-        "lint", help="enforce the codebase's determinism/atomicity/"
-                     "error-contract invariants (rules RL001-RL006)")
-    from .lint.cli import add_lint_arguments
+    from .lint.cli import DESCRIPTION, add_lint_arguments
+    lint = sub.add_parser("lint", help=DESCRIPTION, description=DESCRIPTION)
     add_lint_arguments(lint)
     # The lint subcommand takes none of the run-telemetry or execution
     # flags; default them so main()'s shared plumbing stays oblivious.

@@ -178,14 +178,17 @@ def run(args: argparse.Namespace) -> int:
     return 0 if result.clean else 1
 
 
+#: What ``repro lint`` enforces, shared by both entry points' help.
+DESCRIPTION = ("Enforce the repro codebase's invariants: per-file idiom "
+               "rules (RL001-RL006, RL2xx, RL301) plus the whole-program "
+               "layering, schema-registry, and obs-namespace families "
+               "(RL101/RL102/RL302/RL4xx).")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Stand-alone entry point (``python -m repro.lint``)."""
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="Enforce the repro codebase's invariants: per-file "
-                    "idiom rules (RL001-RL006, RL2xx, RL301) plus the "
-                    "whole-program layering, schema-registry, and obs-"
-                    "namespace families (RL101/RL102/RL302/RL4xx).")
+    parser = argparse.ArgumentParser(prog="repro lint",
+                                     description=DESCRIPTION)
     add_lint_arguments(parser)
     return run(parser.parse_args(argv))
 

@@ -16,11 +16,14 @@ chunk is quadratic in the (small) chunk length — linear overall.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from ..corpus import Corpus
 from ..errors import ConfigurationError
-from ..obs import inc, timed
+from ..obs import inc, span
 
 Phrase = Tuple[int, ...]
 
@@ -100,8 +103,8 @@ def mine_frequent_phrases(corpus: Corpus,
     """
     if min_support < 1:
         raise ConfigurationError("min_support must be >= 1")
-    chunks: List[List[int]] = [list(chunk) for doc in corpus
-                               for chunk in doc.chunks if chunk]
+    chunks: List[Sequence[int]] = [chunk for doc in corpus
+                                   for chunk in doc.chunks if chunk]
     return mine_frequent_phrases_from_chunks(
         chunks, min_support=min_support, max_length=max_length,
         num_documents=len(corpus), num_tokens=corpus.num_tokens,
@@ -116,7 +119,7 @@ def mine_frequent_phrases_from_chunks(chunks: Sequence[Sequence[int]],
                                       merge_cache_capacity: int =
                                       MERGE_CACHE_CAPACITY) -> PhraseCounts:
     """Algorithm 1 on raw token-id chunks (corpus-free entry point)."""
-    with timed("topmine.frequent_mining"):
+    with span("topmine.frequent_mining"):
         counts = _mine_chunks(chunks, min_support, max_length)
     inc("topmine.frequent_phrases", len(counts))
     return PhraseCounts(counts=counts, min_support=min_support,
@@ -126,60 +129,69 @@ def mine_frequent_phrases_from_chunks(chunks: Sequence[Sequence[int]],
 
 def _mine_chunks(chunks: Sequence[Sequence[int]], min_support: int,
                  max_length: int) -> Dict[Phrase, int]:
-    counts: Dict[Phrase, int] = {}
+    """Algorithm 1 as one array pass per phrase length.
 
-    # Length-1 counts.
-    for chunk in chunks:
-        for tok in chunk:
-            key = (tok,)
-            counts[key] = counts.get(key, 0) + 1
-    counts = {p: c for p, c in counts.items() if c >= min_support}
+    The chunks are flattened into one token array.  ``gram_ids[i]`` is
+    the dense id of the frequent length-(n-1) phrase starting at
+    position ``i``, or -1.  A length-n phrase is counted at ``i`` when
+    the phrases at ``i`` and ``i + 1`` are both frequent and it ends
+    inside the chunk: by induction that is exactly where the position
+    loop (prefix Apriori, suffix Apriori, antimonotone chunk dropping)
+    counts it.  Each candidate is keyed ``prefix_id * U + token_rank``,
+    which stays below ``(#tokens) * U`` for any token id range.
+    Frequent phrases are inserted in first-occurrence (chunk, then
+    position) order, the order the loop inserted them in.
+    """
+    lengths = np.fromiter((len(chunk) for chunk in chunks), dtype=np.int64,
+                          count=len(chunks))
+    num_tokens = int(lengths.sum())
+    if num_tokens == 0:
+        return {}
+    tokens = np.fromiter(chain.from_iterable(chunks), dtype=np.int64,
+                         count=num_tokens)
+    chunk_end = np.repeat(np.cumsum(lengths), lengths)
 
-    # Active indices per chunk: positions whose length-(n-1) phrase is
-    # frequent.  Start with positions whose unigram is frequent.
-    active: List[Tuple[Sequence[int], List[int]]] = []
-    for chunk in chunks:
-        indices = [i for i, tok in enumerate(chunk) if (tok,) in counts]
-        if indices:
-            active.append((chunk, indices))
+    # Length 1: dense token ranks double as the gram ids.
+    vocab, first, token_rank, freq = np.unique(
+        tokens, return_index=True, return_inverse=True, return_counts=True)
+    token_rank = token_rank.reshape(-1)
+    frequent = freq >= min_support
+    counts = _frequent_grams(tokens, first, freq, frequent, 1)
+    gram_ids = np.where(frequent, np.arange(len(vocab)), -1)[token_rank]
+    positions = np.flatnonzero(gram_ids >= 0)
+    num_ranks = len(vocab)
 
     length = 2
-    while active and length <= max_length:
-        new_counts: Dict[Phrase, int] = {}
-        still_active: List[Tuple[Sequence[int], List[int]]] = []
-        for chunk, indices in active:
-            # Keep positions whose length-(n-1) phrase is frequent.
-            kept = [i for i in indices
-                    if i + length - 1 <= len(chunk)
-                    and tuple(chunk[i:i + length - 1]) in counts]
-            # The last kept position cannot start a length-n phrase.
-            kept = [i for i in kept if i + length <= len(chunk)]
-            if not kept:
-                continue  # data antimonotonicity: drop this chunk
-            kept_set = set(kept)
-            counted = []
-            for i in kept:
-                # Count w_i..w_{i+n-1} only when the suffix start i+1 was
-                # also viable (Apriori on both the prefix and the suffix).
-                if i + 1 in kept_set or tuple(
-                        chunk[i + 1:i + length]) in counts:
-                    phrase = tuple(chunk[i:i + length])
-                    new_counts[phrase] = new_counts.get(phrase, 0) + 1
-                    counted.append(i)
-            if counted:
-                still_active.append((chunk, counted))
-        frequent = {p: c for p, c in new_counts.items() if c >= min_support}
-        if not frequent:
+    while length <= max_length:
+        at = positions[positions + length <= chunk_end[positions]]
+        at = at[gram_ids[at + 1] >= 0]
+        keys = gram_ids[at] * num_ranks + token_rank[at + length - 1]
+        _, first, inverse, freq = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True)
+        frequent = freq >= min_support
+        if not frequent.any():
             break
-        counts.update(frequent)
-        # Restrict active positions to those whose length-n phrase is
-        # frequent, for the next round.
-        active = []
-        for chunk, indices in still_active:
-            kept = [i for i in indices
-                    if tuple(chunk[i:i + length]) in frequent]
-            if kept:
-                active.append((chunk, kept))
+        counts.update(_frequent_grams(tokens, at[first], freq, frequent,
+                                      length))
+        dense = np.full(len(freq), -1, dtype=np.int64)
+        dense[frequent] = np.arange(int(frequent.sum()))
+        gram_ids = np.full(num_tokens, -1, dtype=np.int64)
+        gram_ids[at] = dense[inverse.reshape(-1)]
+        positions = at[gram_ids[at] >= 0]
         length += 1
-
     return counts
+
+
+def _frequent_grams(tokens: np.ndarray, starts: np.ndarray,
+                    freq: np.ndarray, frequent: np.ndarray,
+                    length: int) -> Dict[Phrase, int]:
+    """``{phrase: count}`` of the frequent grams, first occurrence first.
+
+    ``starts[g]`` is where gram ``g`` first occurs.  Keys are tuples of
+    Python ints and counts are Python ints, not numpy scalars.
+    """
+    starts = starts[frequent]
+    order = np.argsort(starts, kind="stable")
+    starts = starts[order]
+    grams = tokens[starts[:, None] + np.arange(length)].tolist()
+    return dict(zip(map(tuple, grams), freq[frequent][order].tolist()))

@@ -23,11 +23,12 @@ import numpy as np
 from ..corpus import Corpus
 from ..hierarchy import Topic, TopicalHierarchy
 from ..network import TERM_TYPE
-from ..obs import timed
+from ..obs import span
 from ..utils import EPS
 from .frequent import Phrase, PhraseCounts, mine_frequent_phrases
 from .kert import completeness_scores
-from .ranking import render_phrase
+from .ranking import (padded_phrase_ids, render_phrase,
+                      topical_split_scores)
 
 TopicPhraseFrequencies = Dict[str, Dict[Phrase, float]]
 
@@ -116,27 +117,33 @@ def topic_phrase_table(hierarchy: TopicalHierarchy, corpus: Corpus,
 
 def split_frequencies(topic: Topic, freq: Dict[Phrase, float],
                       corpus: Corpus) -> List[Dict[Phrase, float]]:
-    """Eq. 4.3: split each phrase's topic-t frequency among the children."""
+    """Eq. 4.3: split each phrase's topic-t frequency among the children.
+
+    All phrases are scored at once by
+    :func:`~repro.phrases.ranking.topical_split_scores`; log phi is
+    looked up only for the words the phrases use (``EPS`` when a child
+    lacks one).  Each child's table holds the phrases with a positive
+    share, in the order of ``freq``.
+    """
     children = topic.children
-    rhos = np.array([max(child.rho, EPS) for child in children])
-    child_freqs: List[Dict[Phrase, float]] = [{} for _ in children]
-    for phrase, f in freq.items():
-        words = [corpus.vocabulary.word_of(w) for w in phrase]
-        log_scores = np.log(rhos)
-        for word in words:
-            probs = np.array([
-                child.phi.get(TERM_TYPE, {}).get(word, EPS)
-                for child in children])
-            log_scores = log_scores + np.log(np.maximum(probs, EPS))
-        log_scores -= log_scores.max()
-        scores = np.exp(log_scores)
-        total = scores.sum()
-        if total <= 0:
-            continue
-        shares = f * scores / total
-        for z, share in enumerate(shares):
-            if share > 0:
-                child_freqs[z][phrase] = float(share)
+    phrases = list(freq)
+    ids, word_ids = padded_phrase_ids(phrases)
+    words = [corpus.vocabulary.word_of(w) for w in word_ids.tolist()]
+    term_phis = [child.phi.get(TERM_TYPE, {}) for child in children]
+    probs = np.array([[term_phi.get(word, EPS) for word in words]
+                      for term_phi in term_phis], dtype=float)
+    log_rho = np.log(np.array([max(child.rho, EPS) for child in children]))
+    scores, totals = topical_split_scores(
+        log_rho, np.log(np.maximum(probs, EPS)).T, ids)
+    f = np.fromiter(freq.values(), dtype=float, count=len(phrases))
+    # Each total is >= 1 (the row max scores exp(0)) or NaN, whose
+    # shares fail the ``> 0`` test below.
+    shares = f[:, None] * scores / totals[:, None]
+    child_freqs: List[Dict[Phrase, float]] = []
+    for column in shares.T:
+        kept = np.flatnonzero(column > 0)
+        child_freqs.append(dict(zip([phrases[i] for i in kept.tolist()],
+                                    column[kept].tolist())))
     return child_freqs
 
 
@@ -171,7 +178,7 @@ def attach_phrases(hierarchy: TopicalHierarchy,
         The phrase counts used (for reuse by role analysis, which also
         reuses the Eq. 4.3 table left on ``hierarchy.phrase_table``).
     """
-    with timed("phrases.topical_frequency"):
+    with span("phrases.topical_frequency"):
         table, counts = compute_topic_phrase_frequencies(
             hierarchy, corpus, counts=counts, min_support=min_support,
             max_phrase_length=max_phrase_length,
@@ -181,7 +188,7 @@ def attach_phrases(hierarchy: TopicalHierarchy,
         table, counts, corpus,
         (min_topical_frequency, gamma, max_phrase_tokens))
 
-    with timed("phrases.ranking"):
+    with span("phrases.ranking"):
         _rank_topics(hierarchy, corpus, table, top_k)
     return counts
 

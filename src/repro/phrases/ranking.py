@@ -8,6 +8,7 @@ proportional to ``rho_z * prod_i phi_z(v_i)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -67,29 +68,77 @@ def term_model_from_hin(hin_model, vocabulary: Vocabulary,
     return FlatTopicModel(rho=rho, phi=phi)
 
 
+def padded_phrase_ids(phrases: Sequence[Sequence[int]],
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Phrases as rows of compact word columns, padded to one width.
+
+    Returns ``(ids, words)``: ``words`` holds the distinct token ids of
+    ``phrases`` (sorted), and row ``p`` of ``ids`` holds, for each token
+    of phrase ``p`` in order, its column in ``words``, then the padding
+    column ``len(words)`` up to the longest phrase.
+    """
+    lengths = np.fromiter(map(len, phrases), dtype=np.int64,
+                          count=len(phrases))
+    flat = np.fromiter(chain.from_iterable(phrases), dtype=np.int64,
+                       count=int(lengths.sum()))
+    words, columns = np.unique(flat, return_inverse=True)
+    width = int(lengths.max()) if len(lengths) else 0
+    ids = np.full((len(phrases), width), len(words), dtype=np.int64)
+    ids[np.arange(width) < lengths[:, None]] = columns.reshape(-1)
+    return ids, words
+
+
+def topical_split_scores(log_rho: np.ndarray, log_phi: np.ndarray,
+                         ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Eq. 4.3 for many phrases at once: unnormalised shares and totals.
+
+    Args:
+        log_rho: (k,) log subtopic weights.
+        log_phi: (W, k) log phi of each word column.
+        ids: (P, L) word columns from :func:`padded_phrase_ids`, padded
+            with ``W``.
+
+    Row ``p`` sums ``log_rho + log_phi[ids[p, 0]] + log_phi[ids[p, 1]]
+    + ...`` one word column at a time, so every phrase adds its words in
+    order, exactly as a per-phrase loop does; the padding row is zero
+    and adds nothing.  Returns ``(scores, totals)`` with ``scores`` the
+    row-max-shifted ``exp`` (P, k) and ``totals`` its row sums.
+    """
+    log_phi = np.vstack([log_phi, np.zeros((1, len(log_rho)))])
+    log_scores = np.repeat(log_rho[None, :], len(ids), axis=0)
+    for column in ids.T:
+        log_scores += log_phi[column]
+    log_scores -= log_scores.max(axis=1, keepdims=True)
+    scores = np.exp(log_scores)
+    return scores, scores.sum(axis=1)
+
+
+def _topic_posteriors(phrases: Sequence[Sequence[int]],
+                      model: FlatTopicModel) -> np.ndarray:
+    """p(t | P) for each phrase (rows); uniform where the scores vanish."""
+    ids, words = padded_phrase_ids(phrases)
+    log_rho = np.log(np.maximum(model.rho, EPS))
+    log_phi = np.log(np.maximum(model.phi[:, words], EPS)).T
+    scores, totals = topical_split_scores(log_rho, log_phi, ids)
+    posterior = scores / totals[:, None]
+    posterior[totals <= 0] = 1.0 / model.num_topics
+    return posterior
+
+
 def phrase_topic_posterior(phrase: Sequence[int],
                            model: FlatTopicModel) -> np.ndarray:
     """p(t | P): the subtopic split weights of Eq. 4.3, normalized."""
-    phrase = tuple(phrase)
-    log_scores = np.log(np.maximum(model.rho, EPS))
-    for word in phrase:
-        log_scores = log_scores + np.log(np.maximum(model.phi[:, word], EPS))
-    log_scores -= log_scores.max()
-    scores = np.exp(log_scores)
-    total = scores.sum()
-    if total <= 0:
-        return np.full(model.num_topics, 1.0 / model.num_topics)
-    return scores / total
+    return _topic_posteriors([tuple(phrase)], model)[0]
 
 
 def topical_frequencies(counts: PhraseCounts,
                         model: FlatTopicModel,
                         ) -> Dict[Phrase, np.ndarray]:
     """f_t(P) for every frequent phrase: total frequency split by Eq. 4.3."""
-    result: Dict[Phrase, np.ndarray] = {}
-    for phrase, frequency in counts.counts.items():
-        result[phrase] = frequency * phrase_topic_posterior(phrase, model)
-    return result
+    phrases = list(counts.counts)
+    posterior = _topic_posteriors(phrases, model)
+    return {phrase: frequency * row for phrase, frequency, row
+            in zip(phrases, counts.counts.values(), posterior)}
 
 
 def phrase_instance_index(corpus: Corpus, counts: PhraseCounts,

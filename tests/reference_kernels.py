@@ -21,7 +21,11 @@ Three families live here:
 * entity-role attribution (Eq. 5.4–5.6): the per-document recursion,
   the dict-accumulating entity tables and the per-document-dict Type A
   phrase ranking that ``repro.roles`` shipped before its attribution
-  was vectorised.
+  was vectorised;
+* phrase mining and the Eq. 4.3 split: the per-chunk, per-position
+  Algorithm 1 loop and the per-phrase topical-frequency loops that
+  ``repro.phrases`` shipped before they became array kernels.  These
+  fix dict insertion order as well as values.
 """
 
 from __future__ import annotations
@@ -235,6 +239,122 @@ def reference_segment_chunk(chunk: Sequence[int], counts,
         phrases[best_at:best_at + 2] = [phrases[best_at]
                                         + phrases[best_at + 1]]
     return phrases
+
+
+def reference_mine_chunks(chunks: Sequence[Sequence[int]],
+                          min_support: int,
+                          max_length: int) -> Dict[Tuple[int, ...], int]:
+    """Algorithm 1 chunk by chunk, position by position (verbatim)."""
+    counts: Dict[Tuple[int, ...], int] = {}
+
+    # Length-1 counts.
+    for chunk in chunks:
+        for tok in chunk:
+            key = (tok,)
+            counts[key] = counts.get(key, 0) + 1
+    counts = {p: c for p, c in counts.items() if c >= min_support}
+
+    # Active indices per chunk: positions whose length-(n-1) phrase is
+    # frequent.  Start with positions whose unigram is frequent.
+    active: List[Tuple[Sequence[int], List[int]]] = []
+    for chunk in chunks:
+        indices = [i for i, tok in enumerate(chunk) if (tok,) in counts]
+        if indices:
+            active.append((chunk, indices))
+
+    length = 2
+    while active and length <= max_length:
+        new_counts: Dict[Tuple[int, ...], int] = {}
+        still_active: List[Tuple[Sequence[int], List[int]]] = []
+        for chunk, indices in active:
+            # Keep positions whose length-(n-1) phrase is frequent.
+            kept = [i for i in indices
+                    if i + length - 1 <= len(chunk)
+                    and tuple(chunk[i:i + length - 1]) in counts]
+            # The last kept position cannot start a length-n phrase.
+            kept = [i for i in kept if i + length <= len(chunk)]
+            if not kept:
+                continue  # data antimonotonicity: drop this chunk
+            kept_set = set(kept)
+            counted = []
+            for i in kept:
+                # Count w_i..w_{i+n-1} only when the suffix start i+1 was
+                # also viable (Apriori on both the prefix and the suffix).
+                if i + 1 in kept_set or tuple(
+                        chunk[i + 1:i + length]) in counts:
+                    phrase = tuple(chunk[i:i + length])
+                    new_counts[phrase] = new_counts.get(phrase, 0) + 1
+                    counted.append(i)
+            if counted:
+                still_active.append((chunk, counted))
+        frequent = {p: c for p, c in new_counts.items() if c >= min_support}
+        if not frequent:
+            break
+        counts.update(frequent)
+        # Restrict active positions to those whose length-n phrase is
+        # frequent, for the next round.
+        active = []
+        for chunk, indices in still_active:
+            kept = [i for i in indices
+                    if tuple(chunk[i:i + length]) in frequent]
+            if kept:
+                active.append((chunk, kept))
+        length += 1
+
+    return counts
+
+
+# ----------------------------------------------------------------- Eq. 4.3
+def reference_split_frequencies(topic, freq, corpus):
+    """Eq. 4.3 phrase by phrase, one numpy array per word (verbatim)."""
+    from repro.network import TERM_TYPE
+
+    children = topic.children
+    rhos = np.array([max(child.rho, EPS) for child in children])
+    child_freqs: List[Dict[Tuple[int, ...], float]] = [{} for _ in children]
+    for phrase, f in freq.items():
+        words = [corpus.vocabulary.word_of(w) for w in phrase]
+        log_scores = np.log(rhos)
+        for word in words:
+            probs = np.array([
+                child.phi.get(TERM_TYPE, {}).get(word, EPS)
+                for child in children])
+            log_scores = log_scores + np.log(np.maximum(probs, EPS))
+        log_scores -= log_scores.max()
+        scores = np.exp(log_scores)
+        total = scores.sum()
+        if total <= 0:
+            continue
+        shares = f * scores / total
+        for z, share in enumerate(shares):
+            if share > 0:
+                child_freqs[z][phrase] = float(share)
+    return child_freqs
+
+
+def reference_phrase_topic_posterior(phrase: Sequence[int],
+                                     model) -> np.ndarray:
+    """p(t | P) of Eq. 4.3 for one phrase, word by word (verbatim)."""
+    phrase = tuple(phrase)
+    log_scores = np.log(np.maximum(model.rho, EPS))
+    for word in phrase:
+        log_scores = log_scores + np.log(np.maximum(model.phi[:, word], EPS))
+    log_scores -= log_scores.max()
+    scores = np.exp(log_scores)
+    total = scores.sum()
+    if total <= 0:
+        return np.full(model.num_topics, 1.0 / model.num_topics)
+    return scores / total
+
+
+def reference_topical_frequencies(counts, model,
+                                  ) -> Dict[Tuple[int, ...], np.ndarray]:
+    """f_t(P) for every frequent phrase, one posterior at a time."""
+    result: Dict[Tuple[int, ...], np.ndarray] = {}
+    for phrase, frequency in counts.counts.items():
+        result[phrase] = frequency * reference_phrase_topic_posterior(
+            phrase, model)
+    return result
 
 
 # --------------------------------------------------------------------- roles

@@ -31,6 +31,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["nonsense"])
 
+    def test_lint_help_names_every_rule_family(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--help"])
+        listing = " ".join(capsys.readouterr().out.split())
+        for family in ("RL001-RL006", "RL2xx", "RL301", "RL101/RL102",
+                       "RL302", "RL4xx"):
+            assert family in listing, family
+
 
 class TestGenerate:
     def test_writes_loadable_dataset(self, tmp_path, capsys):

@@ -11,16 +11,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.lda_gibbs import ENV_REFERENCE_SWEEP, LDAGibbs
 from repro.cathy.em import endpoint_one_hot, link_incidence
 from repro.corpus import Corpus, Vocabulary
 from repro.hierarchy import Topic, TopicalHierarchy
-from repro.phrases import (PhraseCounts, TopicPhraseTable,
+from repro.phrases import (FlatTopicModel, PhraseCounts, TopicPhraseTable,
                            compute_topic_phrase_frequencies,
                            document_phrase_instances, make_merge_scorer,
                            merge_significance,
-                           mine_frequent_phrases_from_chunks, segment_chunk)
+                           mine_frequent_phrases_from_chunks,
+                           phrase_topic_posterior, segment_chunk,
+                           split_frequencies, topical_frequencies)
 from repro.roles import RoleAnalyzer
 from .reference_kernels import (legacy_gibbs_sweep,
                                 reference_document_topic_frequencies,
@@ -28,7 +32,11 @@ from .reference_kernels import (legacy_gibbs_sweep,
                                 reference_entity_topic_frequencies,
                                 reference_gibbs_conditional,
                                 reference_log_likelihood,
-                                reference_scatter, reference_segment_chunk)
+                                reference_mine_chunks,
+                                reference_phrase_topic_posterior,
+                                reference_scatter, reference_segment_chunk,
+                                reference_split_frequencies,
+                                reference_topical_frequencies)
 
 pytest.importorskip("scipy")
 
@@ -328,3 +336,140 @@ class TestRoleAttributionEquivalence:
                         roles.hierarchy, roles.corpus, table, ref_docs,
                         instances, topic.notation, "person", names,
                         top_k=12)
+
+
+def _bitwise(table):
+    """A float table as (key, exact bit pattern) pairs, in key order."""
+    return [(key, float(value).hex()) for key, value in table.items()]
+
+
+class TestFrequentMiningEquivalence:
+    """Algorithm 1 as array passes against the position loop: the same
+    phrases, the same counts and the same dict insertion order."""
+
+    @staticmethod
+    def _assert_equivalent(chunks, min_support, max_length):
+        fast = mine_frequent_phrases_from_chunks(
+            chunks, min_support=min_support, max_length=max_length).counts
+        ref = reference_mine_chunks(chunks, min_support, max_length)
+        assert list(fast.items()) == list(ref.items())
+        for phrase, count in fast.items():
+            assert type(count) is int
+            assert all(type(tok) is int for tok in phrase)
+        return fast
+
+    @settings(max_examples=300, deadline=None)
+    @given(chunks=st.lists(st.lists(st.integers(0, 5), max_size=10),
+                           max_size=12),
+           offset=st.sampled_from([0, 1 << 21, 1 << 40]),
+           min_support=st.sampled_from([1, 2, 3, 10**6]),
+           max_length=st.sampled_from([1, 2, 3, 6]))
+    def test_random_chunks_match_reference(self, chunks, offset,
+                                           min_support, max_length):
+        chunks = [[tok + offset for tok in chunk] for chunk in chunks]
+        self._assert_equivalent(chunks, min_support, max_length)
+
+    def test_empty_and_single_token_chunks(self):
+        chunks = [[], [4], [], [4], [4, 4], [], [4]]
+        fast = self._assert_equivalent(chunks, 2, 6)
+        assert fast == {(4,): 5}
+        assert self._assert_equivalent([[], []], 1, 6) == {}
+        assert self._assert_equivalent([], 1, 6) == {}
+
+    def test_phrase_ending_on_last_chunk_token(self):
+        chunks = [[9, 1, 2, 3], [1, 2, 3], [7, 1, 2, 3]]
+        fast = self._assert_equivalent(chunks, 3, 6)
+        assert fast[(1, 2, 3)] == 3
+        assert (3, 7) not in fast  # never across a chunk boundary
+
+    def test_repeats_across_chunks_keep_first_occurrence_order(self):
+        chunks = [[5, 6], [1, 2, 5, 6], [1, 2], [2, 1, 5, 6, 1, 2]]
+        fast = self._assert_equivalent(chunks, 2, 6)
+        assert list(fast) == [(5,), (6,), (1,), (2,), (5, 6), (1, 2)]
+        assert self._assert_equivalent(chunks, 1, 2)[(2, 1)] == 1
+
+    def test_large_token_ids_keep_exact_keys(self):
+        """Ids past 2**21 would overflow a rolling base-V key over six
+        tokens; prefix ranks keep every key exact."""
+        rng = np.random.default_rng(31)
+        alphabet = (1 << 21) + rng.integers(0, 1 << 40, size=6)
+        chunks = [alphabet[rng.integers(0, 6, size=rng.integers(0, 14))]
+                  .tolist() for _ in range(80)]
+        for min_support, max_length in [(1, 6), (2, 2), (3, 6)]:
+            fast = self._assert_equivalent(chunks, min_support, max_length)
+            assert max(map(len, fast)) > 1
+
+
+class TestTopicalSplitEquivalence:
+    """The padded-id Eq. 4.3 split against the per-phrase loop: the same
+    keys in the same order and bit-identical floats."""
+
+    WORDS = [f"w{i}" for i in range(10)]
+
+    def _case(self, rng, rhos, phrases, absent=("w9",)):
+        corpus = Corpus(Vocabulary(self.WORDS))
+        topic = Topic()
+        for rho in rhos:
+            probs = rng.dirichlet(np.ones(len(self.WORDS)) * 0.5)
+            term_phi = {word: float(p) for word, p in zip(self.WORDS, probs)
+                        if word not in absent and rng.random() < 0.8}
+            topic.add_child(Topic(rho=rho, phi={"term": term_phi}))
+        freq = {phrase: float(rng.random() * 20 + 0.5) for phrase in phrases}
+        return topic, freq, corpus
+
+    def _assert_equivalent(self, topic, freq, corpus):
+        fast = split_frequencies(topic, freq, corpus)
+        ref = reference_split_frequencies(topic, freq, corpus)
+        assert [_bitwise(table) for table in fast] == \
+            [_bitwise(table) for table in ref]
+        return fast
+
+    @staticmethod
+    def _phrases(rng, count):
+        phrases = {tuple(rng.integers(0, 10, size=rng.integers(1, 5))
+                         .tolist()) for _ in range(count)}
+        return sorted(phrases, key=lambda p: (rng.random(), p))
+
+    @pytest.mark.parametrize("rhos", [[0.5, 0.3, 0.2], [1.0], [0.0, 0.6, 0.4],
+                                      [0.1] * 12])
+    def test_random_tables_match_reference(self, rhos):
+        rng = np.random.default_rng(len(rhos) * 7 + int(rhos[0] * 10))
+        phrases = self._phrases(rng, 60)
+        assert len({len(p) for p in phrases}) > 1  # padded rows
+        assert any(9 in p for p in phrases)  # absent from every child
+        fast = self._assert_equivalent(*self._case(rng, rhos, phrases))
+        assert len(fast) == len(rhos)
+
+    def test_empty_frequencies(self):
+        rng = np.random.default_rng(3)
+        topic, _, corpus = self._case(rng, [0.5, 0.5], [])
+        assert self._assert_equivalent(topic, {}, corpus) == [{}, {}]
+
+    def test_word_missing_everywhere_gets_eps(self):
+        rng = np.random.default_rng(5)
+        topic, freq, corpus = self._case(rng, [0.7, 0.3], [(9,), (9, 9)],
+                                         absent=self.WORDS)
+        fast = self._assert_equivalent(topic, freq, corpus)
+        # Only rho separates the children when no word has a phi entry.
+        assert fast[0][(9,)] / fast[1][(9,)] == pytest.approx(7 / 3)
+
+    def test_topical_frequencies_match_per_phrase_loop(self):
+        rng = np.random.default_rng(13)
+        phi = rng.dirichlet(np.ones(12) * 0.3, size=5)
+        phi[:, :3] = 0.0  # EPS-floored words
+        model = FlatTopicModel(rho=[0.4, 0.0, 0.3, 0.2, 0.1], phi=phi)
+        phrases = {tuple(rng.integers(0, 12, size=rng.integers(1, 5))
+                         .tolist()): int(rng.integers(1, 50))
+                   for _ in range(80)}
+        counts = PhraseCounts(phrases, min_support=1, num_documents=1,
+                              num_tokens=100)
+        fast = topical_frequencies(counts, model)
+        ref = reference_topical_frequencies(counts, model)
+        assert list(fast) == list(ref)
+        for phrase, row in ref.items():
+            assert fast[phrase].tobytes() == row.tobytes()
+            assert phrase_topic_posterior(phrase, model).tobytes() == \
+                reference_phrase_topic_posterior(phrase, model).tobytes()
+        empty = PhraseCounts({}, min_support=1, num_documents=0,
+                             num_tokens=0)
+        assert topical_frequencies(empty, model) == {}

@@ -99,6 +99,36 @@ class TestMinerRunReport:
         assert miner.fit(dataset.corpus).report is None
 
 
+class TestPhraseDecorationSpans:
+    def test_phrase_layers_nest_under_decoration(self):
+        """With spans on, mining, the Eq. 4.3 table and ranking show up
+        as children of ``miner.phrase_decoration`` in the span tree."""
+        from repro.datasets import DBLPConfig, generate_dblp
+        dataset = generate_dblp(DBLPConfig(max_authors=60), seed=3)
+        obs.set_enabled(True)
+        obs.set_spans_enabled(True)
+        LatentEntityMiner(MinerConfig(num_children=2, max_depth=1),
+                          seed=0).fit(dataset.corpus)
+        by_id = {record["span_id"]: record for record in obs.get_spans()}
+
+        def ancestors(record):
+            names = []
+            while record["parent_id"] in by_id:
+                record = by_id[record["parent_id"]]
+                names.append(record["name"])
+            return names
+
+        (mining,) = obs.get_spans("topmine.frequent_mining")
+        assert ancestors(mining)[:2] == ["phrases.topical_frequency",
+                                         "miner.phrase_decoration"]
+        for name in ("phrases.topical_frequency", "phrases.ranking"):
+            (record,) = obs.get_spans(name)
+            assert ancestors(record)[0] == "miner.phrase_decoration"
+        # Spans still observe into the registry timers.
+        timers = obs.get_registry().snapshot()["timers"]
+        assert timers["topmine.frequent_mining"]["count"] == 1
+
+
 class TestCathyEMTrace:
     def test_trace_has_monotone_likelihood(self):
         texts = (["red green blue"] * 10) + (["cat dog bird"] * 10)
